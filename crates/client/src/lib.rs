@@ -459,9 +459,9 @@ impl ClientLib {
         };
         if st.arrivals.is_empty() {
             // The answer overtook the GetAccepted (the sim's network
-            // jitter and live mode's cross-thread channels can reorder
-            // across causality chains). Buffer it — dropping it would
-            // strand the GET forever, since the proxy answers each
+            // jitter and the socket proxy's per-connection I/O shards can
+            // reorder across causality chains). Buffer it — dropping it
+            // would strand the GET forever, since the proxy answers each
             // chunk exactly once.
             if !self.debug_drop_early_answers && st.early_answers.len() < 4096 {
                 st.early_answers.push((id, payload));
@@ -929,9 +929,10 @@ mod tests {
     }
 
     /// A chunk answer that overtakes `GetAccepted` (the sim's network
-    /// jitter and live mode's cross-thread channels can reorder across
-    /// causality chains) must not be dropped: the proxy answers each
-    /// chunk exactly once, so a dropped answer strands the GET forever
+    /// jitter and the socket proxy's per-connection I/O shards can
+    /// reorder across causality chains) must not be dropped: the proxy
+    /// answers each chunk exactly once, so a dropped answer strands the
+    /// GET forever
     /// (found by the chaos matrix after the stale-repair guard changed
     /// event timing). It is buffered and replayed on accept.
     #[test]

@@ -31,12 +31,17 @@
 //!   copied into a contiguous body buffer. (Payloads under
 //!   [`INLINE_PAYLOAD_MAX`] are inlined: for a few dozen bytes the
 //!   memcpy is cheaper than an extra scatter segment.)
-//! * **Decode** — [`read_frame`] (and the per-connection
-//!   [`FrameReader`], which reuses one header buffer) returns the frame
+//! * **Decode** — [`read_frame`] and [`NbFrameReader`] return the frame
 //!   body as a shared [`Bytes`] allocation; [`Dec`] in shared mode
 //!   ([`Dec::new_shared`], [`decode_msg_shared`]) decodes
 //!   `Payload::Bytes` as zero-copy *slices* of that allocation. The one
 //!   unavoidable copy per direction is the socket read itself.
+//!
+//! Socket event loops read through [`NbFrameReader`] and write through
+//! [`FrameWriteQueue`]; the blocking [`read_frame`] /
+//! [`write_frame_parts`] pair serves only the connection handshake, and
+//! [`write_frame_batch`] is the reference stream the write-queue tests
+//! compare against.
 //!
 //! Nothing here performs socket I/O beyond `Read`/`Write`; the framing is
 //! equally usable over files or in-memory buffers (which is how the
@@ -863,12 +868,6 @@ pub fn write_frame_batch<W: Write>(w: &mut W, frames: &[FrameParts]) -> FrameRes
 /// [`FrameError::Malformed`] on mid-frame truncation.
 pub fn read_frame<R: Read>(r: &mut R) -> FrameResult<Bytes> {
     let mut header = [0u8; HEADER_LEN];
-    read_frame_with(r, &mut header)
-}
-
-/// [`read_frame`] against a caller-owned header buffer — the
-/// per-connection reuse path (see [`FrameReader`]).
-fn read_frame_with<R: Read>(r: &mut R, header: &mut [u8; HEADER_LEN]) -> FrameResult<Bytes> {
     // One read for the whole envelope (version + length) instead of two:
     // zero bytes at the frame boundary is a clean close; a nonzero
     // partial read is truncation — unless byte 0 already reveals version
@@ -903,38 +902,6 @@ fn read_frame_with<R: Read>(r: &mut R, header: &mut [u8; HEADER_LEN]) -> FrameRe
     Ok(Bytes::from(body))
 }
 
-/// A per-connection frame reader: owns the reusable header buffer so the
-/// hot read loop allocates exactly once per frame — the body, which is
-/// handed onward as a shared [`Bytes`].
-pub struct FrameReader<R> {
-    inner: R,
-    header: [u8; HEADER_LEN],
-}
-
-impl<R: Read> FrameReader<R> {
-    /// Wraps a byte stream.
-    pub fn new(inner: R) -> Self {
-        FrameReader {
-            inner,
-            header: [0u8; HEADER_LEN],
-        }
-    }
-
-    /// The wrapped stream.
-    pub fn get_ref(&self) -> &R {
-        &self.inner
-    }
-
-    /// Reads the next frame body.
-    ///
-    /// # Errors
-    ///
-    /// See [`read_frame`].
-    pub fn read_frame(&mut self) -> FrameResult<Bytes> {
-        read_frame_with(&mut self.inner, &mut self.header)
-    }
-}
-
 fn map_truncation(e: std::io::Error, what: &'static str) -> FrameError {
     if e.kind() == ErrorKind::UnexpectedEof {
         FrameError::Malformed(what)
@@ -962,11 +929,10 @@ pub enum NbRead {
 
 /// Incremental (resumable) frame decoder for nonblocking streams.
 ///
-/// The blocking [`FrameReader`] loops inside `read_frame` until a frame
-/// completes; an event loop cannot block, so this decoder instead
-/// *persists* its progress — header bytes received so far, then the
-/// partially-filled body — across `WouldBlock`, and resumes on the next
-/// readiness event. Framing semantics are identical to [`read_frame`]:
+/// The blocking [`read_frame`] loops until a frame completes; an event
+/// loop cannot block, so this decoder instead *persists* its progress —
+/// header bytes received so far, then the partially-filled body — across
+/// `WouldBlock`, and resumes on the next readiness event. Framing semantics are identical to [`read_frame`]:
 /// clean EOF only at a frame boundary, version skew diagnosed before
 /// truncation, the [`MAX_FRAME_LEN`] guard applied to the length prefix.
 pub struct NbFrameReader {
@@ -1496,32 +1462,6 @@ mod tests {
             assert_eq!(&read_msg(&mut r).unwrap(), m, "frame {i}");
         }
         assert!(matches!(read_msg(&mut r), Err(FrameError::Closed)));
-    }
-
-    #[test]
-    fn frame_reader_reuses_across_frames() {
-        let mut wire = Vec::new();
-        for i in 0..3u8 {
-            write_msg(
-                &mut wire,
-                &Msg::ChunkData {
-                    id: ChunkId::new(ObjectKey::new("r"), i as u32),
-                    payload: Payload::bytes(vec![i; 2000]),
-                },
-            )
-            .unwrap();
-        }
-        let mut reader = FrameReader::new(&wire[..]);
-        for i in 0..3u8 {
-            let frame = reader.read_frame().unwrap();
-            let msg = decode_msg_shared(&frame).unwrap();
-            let Msg::ChunkData { id, payload } = msg else {
-                panic!("wrong kind");
-            };
-            assert_eq!(id.seq, i as u32);
-            assert_eq!(payload.len(), 2000);
-        }
-        assert!(matches!(reader.read_frame(), Err(FrameError::Closed)));
     }
 
     #[test]

@@ -12,25 +12,27 @@
 //! (`ic-lambda`), erasure coding (`ic-ec`), workload synthesizer
 //! (`ic-workload`), analytical models (`ic-analytics`), baselines
 //! (`ic-baselines`) and the serverless-platform simulator (`ic-simfaas`)
-//! into two execution modes:
+//! into the discrete-event deployment:
 //!
 //! * **Simulation** ([`world::SimWorld`]): a deterministic discrete-event
-//!   deployment used by every experiment in EXPERIMENTS.md — latency
+//!   deployment used by every experiment in `crates/bench` — latency
 //!   microbenchmarks, the 50-hour production-trace replay, cost and
 //!   fault-tolerance studies;
-//! * **Live mode** ([`live::LiveCluster`]): the same protocol state
-//!   machines on OS threads with real bytes through the real
-//!   Reed–Solomon codec — a functional in-process cache with simulated
-//!   function reclaims.
+//! * **Dispatch** ([`dispatch`]): the one executor per protocol action
+//!   enum, behind a [`dispatch::Transport`] trait that each substrate
+//!   implements;
+//! * **Chaos** ([`chaos`]) and **experiments** ([`experiments`]): seeded
+//!   fault schedules with an invariant auditor, and the paper's studies.
 //!
-//! A third substrate lives downstream in the `ic-net` crate: the same
-//! state machines across real TCP sockets and OS processes, registered
-//! against the identical [`dispatch`] engines (it cannot live here —
-//! `ic-net` depends on this crate for the dispatch layer). The
+//! The real-bytes substrate lives downstream in the `ic-net` crate: the
+//! same state machines across real TCP sockets and OS processes,
+//! registered against the identical [`dispatch`] engines (it cannot live
+//! here — `ic-net` depends on this crate for the dispatch layer). The
 //! substrate-parity tests in the workspace root replay one script
-//! through all three and demand identical outcomes.
+//! through both and demand identical outcomes.
 //!
-//! (A live-mode quickstart example lives in `examples/quickstart.rs`.)
+//! (A quickstart on a loopback socket cluster lives in
+//! `examples/quickstart.rs`.)
 
 #![warn(missing_docs)]
 
@@ -38,9 +40,7 @@ pub mod chaos;
 pub mod dispatch;
 pub mod event;
 pub mod experiments;
-pub mod live;
 pub mod metrics;
-pub mod nodehost;
 pub mod params;
 pub mod scheduler;
 pub mod world;

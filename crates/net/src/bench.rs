@@ -218,6 +218,10 @@ pub fn scaled_for_clients(base: &BenchConfig, clients: usize) -> BenchConfig {
 /// is unavailable. Used by the connection-scaling sweep to demonstrate
 /// the event-loop property: thread count stays O(workers) while
 /// connections grow into the thousands.
+///
+/// The count is **process-wide**: every proxy running in this process
+/// contributes, not just one instance. A caller that asserts on it must
+/// own the process (the horde test runs in a test binary of its own).
 pub fn proxy_thread_count() -> Option<usize> {
     let tasks = std::fs::read_dir("/proc/self/task").ok()?;
     let mut count = 0;

@@ -3,21 +3,21 @@
 //! InfiniCache is a networked system: the client library speaks to a
 //! proxy over TCP, and the proxy holds long-lived connections to its
 //! Lambda pool (Fig 6 of the paper). This crate carries the reproduction
-//! across the process boundary — the third execution substrate after the
-//! discrete-event simulator and the in-process live mode:
+//! across the process boundary — the real-bytes execution substrate next
+//! to the discrete-event simulator:
 //!
 //! * [`wire`] — the socket-level frame vocabulary (handshakes, invokes,
 //!   instance-addressed delivery) over the shared length-prefixed codec
 //!   in [`ic_common::frame`];
 //! * [`node`] — [`node::NetNode`], the emulated Lambda node daemon: one
 //!   process per logical node, hosting its [`ic_lambda::Runtime`]
-//!   instances on real 100 ms billing cycles; killing the process is a
-//!   provider reclaim;
+//!   instances on real 100 ms billing cycles (through the crate-private
+//!   `NodeHost` core); killing the process is a provider reclaim;
 //! * [`proxy`] — the socket-backed proxy: a readiness event loop (a
 //!   small pool of I/O shard threads over the workspace [`polling`]
 //!   shim, **O(workers), never O(connections)**) owning all client and
 //!   node sockets nonblocking, plus one protocol thread running the same
-//!   [`ic_proxy::Proxy`] state machine the other substrates drive; a
+//!   [`ic_proxy::Proxy`] state machine the simulator drives; a
 //!   deployment runs one instance per [`ic_common::ProxyId`], each
 //!   owning its disjoint slice of the node-id space;
 //! * [`client`] — [`client::NetClient`], a synchronous client facade
@@ -30,7 +30,7 @@
 //!   and benchmarks;
 //! * [`bench`](mod@bench) — the configurable GET/PUT throughput
 //!   benchmark behind the `netbench` binary and `ic-cli bench`;
-//! * [`replay`] — the substrate-parity replay harness shared by the
+//! * [`replay`] — the sim-vs-net parity replay harness shared by the
 //!   workspace tests and `dbg_replay`, including the multi-proxy
 //!   proxy-kill leg.
 //!
@@ -55,6 +55,7 @@ pub mod bench;
 pub mod client;
 pub mod cluster;
 pub mod node;
+mod nodehost;
 pub mod proxy;
 pub mod replay;
 pub mod wire;

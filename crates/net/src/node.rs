@@ -6,11 +6,11 @@
 //! (§2.2). Here the daemon plays the provider's role for its own node:
 //! it holds a long-lived TCP connection to the proxy, receives
 //! [`Frame::Invoke`] and [`Frame::ToInstance`] frames, and runs the
-//! substrate-independent [`NodeHost`] core — the same instance
+//! crate-private `NodeHost` core (`nodehost.rs`) — the instance
 //! container, invoke routing, billed-duration timers (real 100 ms
-//! cycles), and backup-relay plumbing live mode uses, executing protocol
-//! actions through the shared dispatch engine. Only the byte transport
-//! differs: frames over TCP instead of channel sends.
+//! cycles), and backup-relay plumbing — executing protocol actions
+//! through the shared dispatch engine. This module adds only the byte
+//! transport: frames over TCP.
 //!
 //! The daemon is a single thread: its run loop owns the (nonblocking)
 //! proxy socket through a [`Poller`], decoding inbound frames with an
@@ -39,9 +39,9 @@ use ic_common::frame::{FrameWriteQueue, NbFrameReader, NbRead};
 use ic_common::msg::Msg;
 use ic_common::{Error, InstanceId, LambdaId, Result, SimTime};
 use ic_lambda::runtime::RuntimeConfig;
-use infinicache::nodehost::{NodeHost, NodeIo};
 use polling::{Events, Interest, Mode, Poller, Token, Waker};
 
+use crate::nodehost::{NodeHost, NodeIo};
 use crate::wire::Frame;
 
 /// Poller token of the control waker.

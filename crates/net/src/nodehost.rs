@@ -1,15 +1,13 @@
-//! The shared node-daemon core: one logical cache node's instances,
-//! timers, invoke routing, and backup-relay plumbing, independent of how
-//! bytes reach the proxy.
+//! The node-daemon core: one logical cache node's instances, timers,
+//! invoke routing, and backup-relay plumbing, independent of how bytes
+//! reach the proxy.
 //!
-//! Both byte-level substrates host a node the same way — a container of
-//! [`Runtime`] instances driven by invokes, messages, and real timers —
-//! and differ only in the proxy channel (live mode: an in-process
-//! `mpsc` sender; net mode: a framed TCP socket). [`NodeHost`] owns
-//! everything substrate-independent and implements the
-//! [`dispatch::LambdaTransport`] role once; the substrate supplies a
-//! [`NodeIo`] for the single byte-moving hook. Fixes and protocol
-//! changes land here exactly once.
+//! A node is a container of [`Runtime`] instances driven by invokes,
+//! messages, and real timers. [`NodeHost`] owns all of that and
+//! implements the [`dispatch::LambdaTransport`] role once; the embedding
+//! supplies a [`NodeIo`] for the single byte-moving hook (the socket
+//! daemon in [`crate::node`] frames onto TCP; the unit tests below
+//! record into a vector).
 //!
 //! Peer replicas created by the backup protocol (Fig 10) live in the
 //! same host, so relay traffic short-circuits locally. The host tracks
@@ -26,7 +24,7 @@ use ic_common::{InstanceId, LambdaId, ProxyId, RelayId, SimTime};
 use ic_lambda::runtime::{Runtime, RuntimeConfig};
 use ic_lambda::RunState;
 
-use crate::dispatch::{self, LambdaTransport};
+use infinicache::dispatch::{self, LambdaTransport};
 
 /// The one substrate-specific operation of a node daemon: shipping an
 /// instance's message to the managing proxy.
@@ -169,9 +167,8 @@ impl<IO: NodeIo> NodeHost<IO> {
     }
 
     /// Ships a node → proxy message; chunk data and put acks count as
-    /// served work once handed to the substrate (neither byte-level
-    /// substrate models bandwidth of its own — channels are instant,
-    /// TCP is the bandwidth model).
+    /// served work once handed to the substrate (the daemon models no
+    /// bandwidth of its own — TCP is the bandwidth model).
     fn forward_to_proxy(&mut self, now: SimTime, instance: InstanceId, msg: Msg) {
         let served = matches!(msg, Msg::ChunkData { .. } | Msg::PutAck { .. });
         self.io.send_to_proxy(instance, msg);
@@ -290,7 +287,7 @@ impl<IO: NodeIo> LambdaTransport for NodeHost<IO> {
         _bye: bool,
         _category: CostCategory,
     ) {
-        // The byte-level substrates have no billing meter; ending the
+        // The socket substrate has no billing meter; ending the
         // execution just disarms the duration-control timer.
         self.timers.remove(&instance);
     }

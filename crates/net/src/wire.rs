@@ -25,7 +25,7 @@ use std::io::{Read, Write};
 
 use bytes::Bytes;
 use ic_common::frame::{
-    read_frame, write_frame_parts, Dec, Enc, FrameError, FrameParts, FrameReader, FrameResult,
+    read_frame, write_frame_parts, Dec, Enc, FrameError, FrameParts, FrameResult,
 };
 use ic_common::msg::{InvokePayload, Msg};
 use ic_common::{ClientId, InstanceId, LambdaId, ProxyId};
@@ -225,16 +225,6 @@ impl Frame {
     /// See [`ic_common::frame::read_frame`] and [`Frame::decode`].
     pub fn read_from<R: Read>(r: &mut R) -> FrameResult<Frame> {
         Frame::decode_shared(&read_frame(r)?)
-    }
-
-    /// Reads one frame through a per-connection [`FrameReader`] (reused
-    /// header buffer; the hot-loop form of [`Frame::read_from`]).
-    ///
-    /// # Errors
-    ///
-    /// See [`Frame::read_from`].
-    pub fn read(reader: &mut FrameReader<impl Read>) -> FrameResult<Frame> {
-        Frame::decode_shared(&reader.read_frame()?)
     }
 }
 

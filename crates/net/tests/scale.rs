@@ -1,48 +1,19 @@
-//! Connection-scaling properties of the readiness event loop: thread
-//! count stays O(workers) under thousands of idle connections, and a
-//! slow reader is closed (backpressure) without harming its neighbours.
+//! Connection-scaling properties of the readiness event loop: a slow
+//! reader is closed (backpressure) without harming its neighbours. The
+//! thread-count-under-a-horde property lives alone in `tests/horde.rs`.
 
-use std::net::TcpStream;
 use std::time::{Duration, Instant};
 
 use bytes::Bytes;
 use ic_common::msg::Msg;
-use ic_common::{DeploymentConfig, EcConfig, ObjectKey, ProxyId};
+use ic_common::{ObjectKey, ProxyId};
 use ic_lambda::runtime::RuntimeConfig;
-use ic_net::bench;
 use ic_net::node::NetNode;
 use ic_net::proxy::{self, NetProxyConfig};
 use ic_net::{Frame, NetClient};
 
-fn deployment(nodes: u32) -> DeploymentConfig {
-    DeploymentConfig {
-        backup_enabled: false,
-        ..DeploymentConfig::small(nodes, EcConfig::new(2, 1).unwrap())
-    }
-}
-
-/// Performs a raw client handshake, returning the connected socket
-/// (blocking mode) — a "client" that can then behave arbitrarily badly.
-fn raw_client(addr: std::net::SocketAddr) -> TcpStream {
-    let mut stream = TcpStream::connect(addr).expect("connect");
-    stream.set_nodelay(true).unwrap();
-    Frame::HelloClient.write_to(&mut stream).expect("hello");
-    match Frame::read_from(&mut stream).expect("welcome") {
-        Frame::Welcome { .. } => stream,
-        other => panic!("expected Welcome, got {other:?}"),
-    }
-}
-
-/// The soft `RLIMIT_NOFILE` bound, used to size the idle-connection
-/// horde to what this environment can actually hold open.
-fn max_open_files() -> usize {
-    let limits = std::fs::read_to_string("/proc/self/limits").unwrap_or_default();
-    limits
-        .lines()
-        .find(|l| l.starts_with("Max open files"))
-        .and_then(|l| l.split_whitespace().nth(3)?.parse().ok())
-        .unwrap_or(1024)
-}
+mod common;
+use common::{deployment, raw_client};
 
 /// A client that floods GETs without ever reading the replies must be
 /// closed once its unread backlog exceeds the configured bound — and
@@ -102,56 +73,6 @@ fn slow_reader_is_closed_without_harming_neighbours() {
     let mut fresh = NetClient::connect(handle.client_addr, dep.ec, 8).expect("fresh client");
     assert!(fresh.get("big").unwrap().is_some());
 
-    drop(nodes);
-    handle.shutdown();
-}
-
-/// A thousand idle client connections must not grow the proxy's thread
-/// count at all — readiness multiplexing, not thread-per-connection —
-/// and a live operation must still work with the horde attached.
-#[test]
-fn idle_connection_horde_leaves_thread_count_flat() {
-    let dep = deployment(4);
-    let rt_cfg = RuntimeConfig::for_deployment(&dep);
-    let handle = proxy::start(NetProxyConfig::loopback(dep.clone())).expect("proxy starts");
-    let mut nodes = Vec::new();
-    for lambda in dep.proxy_pool(ProxyId(0)) {
-        nodes.push(
-            NetNode::spawn(lambda, handle.node_addr, rt_cfg, Duration::from_secs(5)).unwrap(),
-        );
-    }
-    let mut client = NetClient::connect(handle.client_addr, dep.ec, 7).expect("client connects");
-    client
-        .put("alive", Bytes::from(vec![7u8; 64 * 1024]))
-        .unwrap();
-
-    let before = bench::proxy_thread_count().expect("procfs thread count");
-    assert!(
-        before <= 1 + proxy::MAX_IO_WORKERS,
-        "proxy runs {before} threads before any load"
-    );
-
-    // Each idle connection costs two fds (one per side) plus headroom
-    // for the cluster itself; cap the horde to what the fd limit holds.
-    let conns = 1000.min(max_open_files().saturating_sub(200) / 2);
-    let horde: Vec<TcpStream> = (0..conns).map(|_| raw_client(handle.client_addr)).collect();
-    assert!(horde.len() >= 100, "environment too small to mean anything");
-
-    let after = bench::proxy_thread_count().expect("procfs thread count");
-    assert_eq!(
-        before,
-        after,
-        "{} idle connections changed the proxy thread count {before} -> {after}",
-        horde.len()
-    );
-
-    // The proxy still serves real traffic with the horde attached.
-    assert_eq!(
-        client.get("alive").unwrap().expect("cached").len(),
-        64 * 1024
-    );
-
-    drop(horde);
     drop(nodes);
     handle.shutdown();
 }

@@ -1,9 +1,11 @@
-//! Quickstart: a live, in-process InfiniCache deployment with real bytes.
+//! Quickstart: an InfiniCache deployment on loopback sockets, with real
+//! bytes.
 //!
-//! Starts twelve Lambda-node threads behind one proxy, PUTs a 16 MiB
-//! object through the RS(10+2) erasure coder, reads it back, then
-//! simulates two provider reclaims and reads it again — the erasure code
-//! reconstructs the lost chunks transparently (and repairs them).
+//! Starts sixteen Lambda node daemons behind one proxy, all in this
+//! process but talking real TCP, PUTs a 16 MiB object through the
+//! RS(10+2) erasure coder, reads it back, then simulates provider
+//! reclaims and reads it again — the erasure code reconstructs the lost
+//! chunks transparently (and repairs them).
 //!
 //! Run with:
 //!
@@ -13,7 +15,7 @@
 
 use bytes::Bytes;
 use ic_common::{DeploymentConfig, EcConfig, LambdaId};
-use infinicache::live::LiveCluster;
+use ic_net::LoopbackCluster;
 use std::time::Instant;
 
 fn main() -> ic_common::Result<()> {
@@ -22,8 +24,9 @@ fn main() -> ic_common::Result<()> {
         backup_enabled: false, // keep the demo deterministic
         ..DeploymentConfig::small(16, ec)
     };
-    println!("starting a live InfiniCache: 16 nodes, RS{ec}, 1 proxy");
-    let mut cache = LiveCluster::start(cfg)?;
+    println!("starting InfiniCache on loopback sockets: 16 nodes, RS{ec}, 1 proxy");
+    let cluster = LoopbackCluster::start(cfg)?;
+    let mut cache = cluster.client()?;
 
     // A 16 MiB object with a recognizable pattern.
     let object: Bytes = (0..16 * 1024 * 1024)
@@ -42,11 +45,11 @@ fn main() -> ic_common::Result<()> {
     let back = cache
         .get("docker-layer:sha256:abc123")?
         .expect("object is cached");
+    let elapsed = t.elapsed();
+    assert_eq!(back, object, "GET must return the stored bytes");
     println!(
-        "GET 16 MiB in {:?} — {} bytes identical: {}",
-        t.elapsed(),
-        back.len(),
-        back == object
+        "GET 16 MiB in {elapsed:?} — {} bytes, identical",
+        back.len()
     );
 
     // The provider reclaims functions one by one; each GET rides out the
@@ -54,7 +57,7 @@ fn main() -> ic_common::Result<()> {
     // repair), so the object never becomes unrecoverable.
     println!("\nsimulating provider reclaims, one node at a time...");
     for node in 0..16u32 {
-        cache.reclaim_node(LambdaId(node));
+        cluster.reclaim_node(LambdaId(node));
         std::thread::sleep(std::time::Duration::from_millis(30));
         let t = Instant::now();
         let back = cache
@@ -78,7 +81,7 @@ fn main() -> ic_common::Result<()> {
         "\na miss returns None: {:?}",
         cache.get("never-stored")?.is_none()
     );
-    cache.shutdown();
+    cluster.shutdown();
     println!("done");
     Ok(())
 }

@@ -1,23 +1,20 @@
 //! Workspace-level integration tests: the full stack (client library →
 //! proxy → Lambda runtimes → platform → network) exercised through the
-//! public APIs of the `infinicache` crate, across both execution modes.
+//! public APIs of the `infinicache` crate, on the simulator and — for
+//! the parity check — the loopback socket substrate.
 
-use bytes::Bytes;
 use ic_common::pricing::CostCategory;
-use ic_common::{
-    ClientId, DeploymentConfig, EcConfig, LambdaId, ObjectKey, Payload, SimDuration, SimTime,
-};
+use ic_common::{ClientId, DeploymentConfig, EcConfig, ObjectKey, Payload, SimDuration, SimTime};
 use ic_simfaas::reclaim::{HourlyPoisson, NoReclaim};
 use ic_workload::{generate, WorkloadSpec};
 use infinicache::chaos::ScriptStep;
 use infinicache::event::Op;
-use infinicache::live::LiveCluster;
 use infinicache::metrics::{OpKind, Outcome};
 use infinicache::params::SimParams;
 use infinicache::world::SimWorld;
 
 mod common;
-use common::{replay_live, replay_net, replay_sim, StepOutcome};
+use common::{replay_net, replay_sim, StepOutcome};
 
 fn key(s: &str) -> ObjectKey {
     ObjectKey::new(s)
@@ -141,49 +138,6 @@ fn trace_replay_hits_reasonable_ratio_and_bills_all_categories() {
     );
 }
 
-#[test]
-fn live_cluster_roundtrips_various_sizes_through_real_ec() {
-    let cfg = DeploymentConfig {
-        backup_enabled: false,
-        ..DeploymentConfig::small(10, EcConfig::new(4, 2).unwrap())
-    };
-    let mut cache = LiveCluster::start(cfg).unwrap();
-    for len in [1usize, 100, 4096, 1 << 16, 3 * 1024 * 1024] {
-        let data: Bytes = (0..len)
-            .map(|i| ((i * 131 + 17) % 256) as u8)
-            .collect::<Vec<u8>>()
-            .into();
-        cache.put(format!("obj-{len}"), data.clone()).unwrap();
-        let back = cache.get(format!("obj-{len}")).unwrap().expect("cached");
-        assert_eq!(back, data, "len {len}");
-    }
-    cache.shutdown();
-}
-
-#[test]
-fn live_cluster_recovers_after_reclaims_and_repairs() {
-    let cfg = DeploymentConfig {
-        backup_enabled: false,
-        ..DeploymentConfig::small(12, EcConfig::new(6, 2).unwrap())
-    };
-    let mut cache = LiveCluster::start(cfg).unwrap();
-    let data: Bytes = vec![0xA5u8; 2 << 20].into();
-    cache.put("survivor", data.clone()).unwrap();
-    // Reclaim nodes one at a time, reading after each; read repair keeps
-    // the loss per read at <= 1 chunk, within parity.
-    for node in 0..12u32 {
-        cache.reclaim_node(LambdaId(node));
-        std::thread::sleep(std::time::Duration::from_millis(20));
-        let back = cache.get("survivor").unwrap().expect("recoverable");
-        assert_eq!(back, data, "after reclaiming λ{node}");
-    }
-    assert!(
-        cache.stats().recoveries > 0,
-        "some reads must have recovered"
-    );
-    cache.shutdown();
-}
-
 fn parity_script() -> Vec<ScriptStep> {
     let put = |k: &str, size| ScriptStep::Put {
         key: k.into(),
@@ -202,17 +156,19 @@ fn parity_script() -> Vec<ScriptStep> {
 
 /// The tentpole invariant of the shared dispatch layer: the same
 /// PUT/GET/miss script pushed through `SimWorld` (timed events, network
-/// flows) and `LiveCluster` (threads, real bytes) produces identical
-/// application-visible hit/miss outcomes, because both substrates execute
-/// the identical protocol actions through `infinicache::dispatch`.
-/// (The replay harness lives in `tests/common`; `tests/chaos.rs` reuses
-/// it for sampled schedules.)
+/// flows) and the socket cluster (`ic-net` loopback TCP, real bytes)
+/// produces identical application-visible hit/miss outcomes, because
+/// both substrates execute the identical protocol actions through
+/// `infinicache::dispatch`. Net GETs are also byte-identical to the
+/// stored objects (asserted inside `replay_net`). (The replay harness
+/// lives in `ic_net::replay`; `tests/chaos.rs` reuses it for sampled
+/// schedules.)
 #[test]
-fn simulated_and_live_execution_agree_on_hit_miss_outcomes() {
+fn simulated_and_net_execution_agree_on_hit_miss_outcomes() {
     let script = parity_script();
     let sim = replay_sim(&script);
-    let live = replay_live(&script);
-    assert_eq!(sim, live, "sim and live outcomes diverged");
+    let net = replay_net(&script);
+    assert_eq!(sim, net, "sim and net outcomes diverged");
     let expected = [
         StepOutcome::Stored,
         StepOutcome::Stored,
@@ -222,18 +178,6 @@ fn simulated_and_live_execution_agree_on_hit_miss_outcomes() {
         StepOutcome::Hit,
     ];
     assert_eq!(sim, expected, "script must store, hit, and miss as written");
-}
-
-/// The same invariant extended to the third substrate: the socket
-/// cluster (`ic-net` loopback TCP) must agree with the simulator on the
-/// hand-written script, and its GETs are byte-identical to the stored
-/// objects (asserted inside `replay_net`).
-#[test]
-fn simulated_and_net_execution_agree_on_hit_miss_outcomes() {
-    let script = parity_script();
-    let sim = replay_sim(&script);
-    let net = replay_net(&script);
-    assert_eq!(sim, net, "sim and net outcomes diverged");
 }
 
 #[test]
@@ -256,28 +200,4 @@ fn billing_cycles_round_up_per_invocation_end_to_end() {
         "billed {} GB-s",
         warm.gb_seconds
     );
-}
-
-#[test]
-fn erasure_coding_tolerance_boundary_is_exact() {
-    // With RS(4+1): exactly one loss recovers, two losses RESET.
-    let cfg = DeploymentConfig {
-        backup_enabled: false,
-        ..DeploymentConfig::small(10, EcConfig::new(4, 1).unwrap())
-    };
-    let mut cache = LiveCluster::start(cfg).unwrap();
-    let data: Bytes = vec![7u8; 1 << 20].into();
-    cache.put("edge", data.clone()).unwrap();
-
-    // Lose everything: with only 5 chunks on 10 nodes, reclaiming all
-    // nodes guarantees > p losses.
-    for node in 0..10u32 {
-        cache.reclaim_node(LambdaId(node));
-    }
-    std::thread::sleep(std::time::Duration::from_millis(50));
-    assert!(
-        cache.get("edge").is_err(),
-        "total loss must be unrecoverable"
-    );
-    cache.shutdown();
 }
