@@ -14,8 +14,26 @@
 //! returned epoch. Timers from older epochs are stale and must be ignored;
 //! on a fresh timer the owner calls [`Network::poll`] to collect finished
 //! flows.
-
-use std::collections::BTreeMap;
+//!
+//! # Determinism
+//!
+//! Rates are a pure function of the live flows and their order, down to
+//! the bit. Flows are stored and visited in ascending flow-id order (the
+//! order they started). Each progressive-filling round first finds the
+//! bottleneck level, then freezes flows one at a time in id order: a flow
+//! frozen later in the round sees its links' remaining capacity and user
+//! counts already reduced by the flows frozen before it. A path that
+//! lists a link twice counts as two users of it. Only the `min`
+//! reductions that find the level are order-free, so the same sequence of
+//! calls yields bit-identical rates, completion times and epochs.
+//!
+//! # Cost
+//!
+//! One solve costs rounds × (links in use + live flows), where "links in
+//! use" are the links some live flow crosses, not every link ever added
+//! (host uplinks are never freed). A solve allocates nothing: its
+//! per-link and per-flow scratch lives in the [`Network`] and only the
+//! entries it touched are reset.
 
 use ic_common::{SimDuration, SimTime};
 
@@ -32,17 +50,40 @@ pub struct LinkId(usize);
 pub struct FlowId(u64);
 
 #[derive(Debug)]
-struct Link {
-    capacity: f64, // bytes/sec
-}
-
-#[derive(Debug)]
 struct Flow<T> {
+    id: u64,
     path: Vec<LinkId>,
     cap: Option<f64>,
     remaining: f64,
     rate: f64,
     payload: T,
+}
+
+impl<T> Flow<T> {
+    /// Advances this flow by `dt` seconds at its current rate.
+    fn settle(&mut self, dt: f64, delivered: &mut f64) {
+        if dt > 0.0 && self.rate > 0.0 {
+            let moved = (self.rate * dt).min(self.remaining);
+            self.remaining -= moved;
+            *delivered += moved;
+        }
+    }
+}
+
+/// Reusable working state of [`Network::recompute`]. Between solves every
+/// `link_users` entry is 0 and both lists are empty.
+#[derive(Debug, Default)]
+struct Scratch {
+    /// Capacity not yet handed to frozen flows, per link; valid only for
+    /// links in `active_links`.
+    link_remaining: Vec<f64>,
+    /// Unfrozen flows crossing each link (a repeated path entry counts
+    /// twice).
+    link_users: Vec<u32>,
+    /// Links that still have unfrozen users.
+    active_links: Vec<usize>,
+    /// Indices into `flows` of the unfrozen flows, ascending.
+    unfrozen: Vec<usize>,
 }
 
 /// The network: links, flows, and the fair-share rate assignment.
@@ -51,25 +92,29 @@ struct Flow<T> {
 /// owning event loop stores whatever routing context it needs there).
 #[derive(Debug)]
 pub struct Network<T> {
-    links: Vec<Link>,
-    flows: BTreeMap<u64, Flow<T>>,
+    /// Capacity in bytes/sec, indexed by [`LinkId`].
+    capacity: Vec<f64>,
+    /// In-flight flows, in ascending id order.
+    flows: Vec<Flow<T>>,
     next_flow: u64,
     epoch: u64,
     settled_at: SimTime,
     /// Total bytes ever moved to completion (for throughput reporting).
     delivered_bytes: f64,
+    scratch: Scratch,
 }
 
 impl<T> Network<T> {
     /// Creates an empty network.
     pub fn new() -> Self {
         Network {
-            links: Vec::new(),
-            flows: BTreeMap::new(),
+            capacity: Vec::new(),
+            flows: Vec::new(),
             next_flow: 0,
             epoch: 0,
             settled_at: SimTime::ZERO,
             delivered_bytes: 0.0,
+            scratch: Scratch::default(),
         }
     }
 
@@ -83,10 +128,10 @@ impl<T> Network<T> {
             bytes_per_sec.is_finite() && bytes_per_sec > 0.0,
             "link capacity must be positive"
         );
-        self.links.push(Link {
-            capacity: bytes_per_sec,
-        });
-        LinkId(self.links.len() - 1)
+        self.capacity.push(bytes_per_sec);
+        self.scratch.link_remaining.push(0.0);
+        self.scratch.link_users.push(0);
+        LinkId(self.capacity.len() - 1)
     }
 
     /// Current epoch; bumped on every rate change. Completion timers carry
@@ -106,8 +151,7 @@ impl<T> Network<T> {
     }
 
     /// Feeds the protocol-relevant in-flight flow state into a state
-    /// fingerprint: each flow's path and payload, in flow-id order (the
-    /// map is a `BTreeMap`, so iteration is deterministic).
+    /// fingerprint: each flow's path and payload, in flow-id order.
     ///
     /// Timing state — remaining bytes, rates, epochs — is deliberately
     /// excluded: under the model checker's scheduler a flow's completion
@@ -119,7 +163,7 @@ impl<T> Network<T> {
     {
         use std::hash::Hash;
         self.flows.len().hash(h);
-        for flow in self.flows.values() {
+        for flow in &self.flows {
             for link in &flow.path {
                 link.0.hash(h);
             }
@@ -147,7 +191,7 @@ impl<T> Network<T> {
             "flow needs at least one link or a rate cap"
         );
         for l in &path {
-            assert!(l.0 < self.links.len(), "unknown link {l:?}");
+            assert!(l.0 < self.capacity.len(), "unknown link {l:?}");
         }
         if let Some(c) = cap {
             assert!(c.is_finite() && c > 0.0, "flow cap must be positive");
@@ -155,16 +199,15 @@ impl<T> Network<T> {
         self.settle(now);
         let id = self.next_flow;
         self.next_flow += 1;
-        self.flows.insert(
+        // Ids only grow, so pushing keeps `flows` in id order.
+        self.flows.push(Flow {
             id,
-            Flow {
-                path,
-                cap,
-                remaining: bytes,
-                rate: 0.0,
-                payload,
-            },
-        );
+            path,
+            cap,
+            remaining: bytes,
+            rate: 0.0,
+            payload,
+        });
         self.recompute();
         FlowId(id)
     }
@@ -173,7 +216,8 @@ impl<T> Network<T> {
     /// returning its payload if it was still active.
     pub fn cancel(&mut self, now: SimTime, id: FlowId) -> Option<T> {
         self.settle(now);
-        let flow = self.flows.remove(&id.0)?;
+        let idx = self.index_of(id)?;
+        let flow = self.flows.remove(idx);
         self.recompute();
         Some(flow.payload)
     }
@@ -182,7 +226,7 @@ impl<T> Network<T> {
     /// active. Schedule exactly one timer for it; older timers are stale.
     pub fn next_completion(&self, now: SimTime) -> Option<(SimTime, u64)> {
         let mut best: Option<f64> = None;
-        for f in self.flows.values() {
+        for f in &self.flows {
             if f.rate <= 0.0 {
                 continue;
             }
@@ -199,119 +243,140 @@ impl<T> Network<T> {
         })
     }
 
-    /// Settles progress to `now` and returns every finished flow's payload.
-    /// Recomputes rates if anything finished.
+    /// Settles progress to `now` and returns every finished flow's payload,
+    /// in id order. Recomputes rates if anything finished.
     pub fn poll(&mut self, now: SimTime) -> Vec<(FlowId, T)> {
-        self.settle(now);
-        let done: Vec<u64> = self
+        let dt = self.advance_clock(now);
+        let delivered = &mut self.delivered_bytes;
+        let out: Vec<(FlowId, T)> = self
             .flows
-            .iter()
-            .filter(|(_, f)| f.remaining <= COMPLETION_EPSILON)
-            .map(|(&id, _)| id)
+            .extract_if(.., |f| {
+                f.settle(dt, delivered);
+                f.remaining <= COMPLETION_EPSILON
+            })
+            .map(|f| (FlowId(f.id), f.payload))
             .collect();
-        let mut out = Vec::with_capacity(done.len());
-        for id in done {
-            let f = self.flows.remove(&id).expect("listed above");
-            out.push((FlowId(id), f.payload));
-        }
         if !out.is_empty() {
             self.recompute();
         }
         out
     }
 
+    /// Moves the settle clock to `now`, returning the seconds elapsed
+    /// since the last settle (0 if `now` is not later).
+    fn advance_clock(&mut self, now: SimTime) -> f64 {
+        let dt = (now - self.settled_at).as_secs_f64();
+        self.settled_at = self.settled_at.max(now);
+        dt
+    }
+
     /// Advances every flow's remaining bytes to `now` at current rates.
     fn settle(&mut self, now: SimTime) {
-        let dt = (now - self.settled_at).as_secs_f64();
-        if dt > 0.0 {
-            for f in self.flows.values_mut() {
-                if f.rate > 0.0 {
-                    let moved = (f.rate * dt).min(f.remaining);
-                    f.remaining -= moved;
-                    self.delivered_bytes += moved;
-                }
-            }
+        let dt = self.advance_clock(now);
+        for f in &mut self.flows {
+            f.settle(dt, &mut self.delivered_bytes);
         }
-        self.settled_at = self.settled_at.max(now);
+    }
+
+    /// Position of flow `id` in `flows`, if it is still active.
+    fn index_of(&self, id: FlowId) -> Option<usize> {
+        self.flows.binary_search_by_key(&id.0, |f| f.id).ok()
     }
 
     /// Max–min fair rate assignment (progressive filling) with per-flow
-    /// caps.
+    /// caps. See the module docs for the determinism contract and cost.
     fn recompute(&mut self) {
         self.epoch += 1;
-        if self.flows.is_empty() {
-            return;
-        }
-        let n_links = self.links.len();
-        let mut link_remaining: Vec<f64> = self.links.iter().map(|l| l.capacity).collect();
-        let mut link_users: Vec<u32> = vec![0; n_links];
-        // Unfrozen flow ids in deterministic order.
-        let mut unfrozen: Vec<u64> = self.flows.keys().copied().collect();
-        for f in self.flows.values() {
+        let Network {
+            capacity,
+            flows,
+            scratch,
+            ..
+        } = self;
+        let Scratch {
+            link_remaining,
+            link_users,
+            active_links,
+            unfrozen,
+        } = scratch;
+        // Count users per link, listing each link in use once.
+        for f in flows.iter() {
             for l in &f.path {
+                if link_users[l.0] == 0 {
+                    link_remaining[l.0] = capacity[l.0];
+                    active_links.push(l.0);
+                }
                 link_users[l.0] += 1;
             }
         }
+        unfrozen.extend(0..flows.len());
 
         while !unfrozen.is_empty() {
             // Bottleneck level: the smallest of (a) per-link fair share,
-            // (b) any unfrozen flow's cap.
+            // (b) any unfrozen flow's cap. Links left without unfrozen
+            // users never regain any, so they drop out of the scan.
             let mut level = f64::INFINITY;
-            for (li, &users) in link_users.iter().enumerate() {
-                if users > 0 {
-                    level = level.min(link_remaining[li].max(0.0) / users as f64);
+            active_links.retain(|&li| {
+                let users = link_users[li];
+                if users == 0 {
+                    return false;
                 }
-            }
-            for id in &unfrozen {
-                if let Some(c) = self.flows[id].cap {
+                level = level.min(link_remaining[li].max(0.0) / users as f64);
+                true
+            });
+            for &fi in unfrozen.iter() {
+                if let Some(c) = flows[fi].cap {
                     level = level.min(c);
                 }
             }
             debug_assert!(level.is_finite(), "no constraint on some flow");
 
-            // Freeze every flow constrained at this level.
-            let mut next_unfrozen = Vec::with_capacity(unfrozen.len());
-            let mut froze_any = false;
-            for id in unfrozen {
-                let constrained_by_cap = self.flows[&id]
-                    .cap
-                    .is_some_and(|c| c <= level * (1.0 + 1e-9));
-                let constrained_by_link = self.flows[&id].path.iter().any(|l| {
+            // Freeze every flow constrained at this level, in id order.
+            let before = unfrozen.len();
+            unfrozen.retain(|&fi| {
+                let f = &mut flows[fi];
+                let constrained_by_cap = f.cap.is_some_and(|c| c <= level * (1.0 + 1e-9));
+                let constrained_by_link = f.path.iter().any(|l| {
                     link_remaining[l.0].max(0.0) / link_users[l.0] as f64 <= level * (1.0 + 1e-9)
                 });
-                if constrained_by_cap || constrained_by_link {
-                    let rate = if constrained_by_cap {
-                        self.flows[&id].cap.expect("cap-constrained")
-                    } else {
-                        level
-                    }
-                    .min(level);
-                    let f = self.flows.get_mut(&id).expect("flow exists");
-                    f.rate = rate;
-                    for l in &f.path {
-                        link_remaining[l.0] -= rate;
-                        link_users[l.0] -= 1;
-                    }
-                    froze_any = true;
-                } else {
-                    next_unfrozen.push(id);
+                if !(constrained_by_cap || constrained_by_link) {
+                    return true;
                 }
-            }
+                let rate = if constrained_by_cap {
+                    f.cap.expect("cap-constrained")
+                } else {
+                    level
+                }
+                .min(level);
+                f.rate = rate;
+                for l in &f.path {
+                    link_remaining[l.0] -= rate;
+                    link_users[l.0] -= 1;
+                }
+                false
+            });
+            let froze_any = unfrozen.len() < before;
             debug_assert!(froze_any, "progressive filling must make progress");
             if !froze_any {
                 // Defensive: freeze everything at the level to avoid a spin.
-                for id in &next_unfrozen {
-                    self.flows.get_mut(id).expect("flow exists").rate = level;
+                for &fi in unfrozen.iter() {
+                    flows[fi].rate = level;
                 }
                 break;
             }
-            unfrozen = next_unfrozen;
         }
+
+        // Leave the scratch clean for the next solve.
+        for &li in active_links.iter() {
+            link_users[li] = 0;
+        }
+        active_links.clear();
+        unfrozen.clear();
     }
 
     /// The current rate of a flow in bytes/sec (testing/inspection).
     pub fn flow_rate(&self, id: FlowId) -> Option<f64> {
-        self.flows.get(&id.0).map(|f| f.rate)
+        self.index_of(id).map(|i| self.flows[i].rate)
     }
 }
 
@@ -462,5 +527,66 @@ mod tests {
             .collect();
         let total: f64 = ids.iter().map(|&id| net.flow_rate(id).unwrap()).sum();
         assert!((total - 1_000.0).abs() < 1e-6, "sum of rates {total}");
+    }
+
+    #[test]
+    fn a_link_listed_twice_counts_as_two_users() {
+        let mut net = Network::new();
+        let l = net.add_link(90.0);
+        let twice = net.start_flow(SimTime::ZERO, 1e6, vec![l, l], None, "twice");
+        assert_eq!(net.flow_rate(twice), Some(45.0));
+        let once = net.start_flow(SimTime::ZERO, 1e6, vec![l], None, "once");
+        // Three users share 90: the doubled flow freezes at 30 and is
+        // charged twice, leaving 30 for the other.
+        assert_eq!(net.flow_rate(twice), Some(30.0));
+        assert_eq!(net.flow_rate(once), Some(30.0));
+    }
+
+    #[test]
+    fn completing_middle_flows_leaves_the_same_fingerprint_as_a_fresh_network() {
+        use std::hash::{DefaultHasher, Hasher};
+        fn fingerprint(net: &Network<&'static str>) -> u64 {
+            let mut h = DefaultHasher::new();
+            net.fingerprint(&mut h);
+            h.finish()
+        }
+
+        let mut net = Network::new();
+        let a = net.add_link(100.0);
+        let b = net.add_link(100.0);
+        net.start_flow(SimTime::ZERO, 1e6, vec![a], None, "long-1");
+        net.start_flow(SimTime::ZERO, 10.0, vec![a, b], None, "short-1");
+        net.start_flow(SimTime::ZERO, 1e6, vec![b], None, "long-2");
+        net.start_flow(SimTime::ZERO, 10.0, vec![b], None, "short-2");
+        net.start_flow(SimTime::ZERO, 1e6, vec![a, b], None, "long-3");
+        let (at, _) = net
+            .next_completion(SimTime::ZERO)
+            .expect("flows are active");
+        let done: Vec<_> = net.poll(at).into_iter().map(|(_, p)| p).collect();
+        assert_eq!(done, ["short-1", "short-2"]);
+
+        let mut fresh = Network::new();
+        let fa = fresh.add_link(100.0);
+        let fb = fresh.add_link(100.0);
+        fresh.start_flow(SimTime::ZERO, 1e6, vec![fa], None, "long-1");
+        fresh.start_flow(SimTime::ZERO, 1e6, vec![fb], None, "long-2");
+        fresh.start_flow(SimTime::ZERO, 1e6, vec![fa, fb], None, "long-3");
+        assert_eq!(fingerprint(&net), fingerprint(&fresh));
+    }
+
+    #[test]
+    fn cancel_of_a_finished_flow_returns_none() {
+        let mut net = Network::new();
+        let l = net.add_link(100.0);
+        let done = net.start_flow(SimTime::ZERO, 100.0, vec![l], None, "done");
+        let kept = net.start_flow(SimTime::ZERO, 1e6, vec![l], None, "kept");
+        let (at, _) = net
+            .next_completion(SimTime::ZERO)
+            .expect("flows are active");
+        assert_eq!(net.poll(at), vec![(done, "done")]);
+        let epoch = net.epoch();
+        assert_eq!(net.cancel(at, done), None);
+        assert_eq!(net.epoch(), epoch, "a no-op cancel must not bump the epoch");
+        assert_eq!(net.flow_rate(kept), Some(100.0));
     }
 }
