@@ -22,6 +22,7 @@
 //! [`ClientLib`].
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use ic_common::msg::Msg;
 use ic_common::ring::Ring;
@@ -121,7 +122,7 @@ pub struct ClientStats {
     pub failed_puts: u64,
 }
 
-#[derive(Debug)]
+#[derive(Clone, Debug)]
 struct GetState {
     proxy: ProxyId,
     object_size: u64,
@@ -146,7 +147,7 @@ struct GetState {
     early_answers: Vec<(ChunkId, Option<Payload>)>,
 }
 
-#[derive(Debug)]
+#[derive(Clone, Debug)]
 struct PutState {
     /// Kept so a PUT retry path could re-encode; also documents ownership
     /// of in-flight object bytes.
@@ -159,14 +160,16 @@ struct PutState {
 }
 
 /// The client library state machine.
-#[derive(Debug)]
+#[derive(Clone, Debug)]
 pub struct ClientLib {
     /// This client's identity.
     pub id: ClientId,
     ec: EcConfig,
     rs: ReedSolomon,
-    ring: Ring<ProxyId>,
-    pools: HashMap<ProxyId, Vec<LambdaId>>,
+    /// Routing ring and per-proxy pools: fixed at construction, so
+    /// clones of the library (model-checker states) share them.
+    ring: Arc<Ring<ProxyId>>,
+    pools: Arc<HashMap<ProxyId, Vec<LambdaId>>>,
     rng: SmallRng,
     gets: HashMap<ObjectKey, GetState>,
     puts: HashMap<ObjectKey, PutState>,
@@ -209,8 +212,8 @@ impl ClientLib {
             id,
             ec,
             rs: ReedSolomon::from_config(ec),
-            ring,
-            pools: pool_map,
+            ring: Arc::new(ring),
+            pools: Arc::new(pool_map),
             rng: SmallRng::seed_from_u64(seed ^ 0x00c1_1e47),
             gets: HashMap::new(),
             puts: HashMap::new(),
@@ -713,25 +716,26 @@ impl ClientLib {
     /// because placement vectors come out of it, so two states with
     /// different RNG positions can diverge on the very next PUT.
     pub fn fingerprint(&self, h: &mut impl std::hash::Hasher) {
+        use ic_common::hash::hash_debug;
         use rand::RngCore;
         use std::hash::Hash;
         self.id.hash(h);
         self.rng.clone().next_u64().hash(h);
         let mut gets: Vec<_> = self.gets.iter().collect();
-        gets.sort_by_key(|(k, _)| (*k).clone());
+        gets.sort_unstable_by_key(|&(k, _)| k);
         for (key, st) in gets {
             key.hash(h);
-            format!("{st:?}").hash(h);
+            hash_debug(st, h);
         }
         let mut puts: Vec<_> = self.puts.iter().collect();
-        puts.sort_by_key(|(k, _)| (*k).clone());
+        puts.sort_unstable_by_key(|&(k, _)| k);
         for (key, st) in puts {
             key.hash(h);
-            format!("{st:?}").hash(h);
+            hash_debug(st, h);
         }
         self.put_seq.hash(h);
         let mut placements: Vec<_> = self.placements.iter().collect();
-        placements.sort_by_key(|(k, _)| (*k).clone());
+        placements.sort_unstable_by_key(|&(k, _)| k);
         placements.hash(h);
     }
 

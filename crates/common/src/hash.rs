@@ -5,6 +5,12 @@
 //! placement decisions. Everything that influences placement (the consistent
 //! hash ring, chunk spreading) therefore uses the deterministic functions
 //! here: 64-bit FNV-1a followed by a SplitMix64 finalizer for avalanche.
+//!
+//! [`hash_debug`] is the odd one out: it feeds a value's `Debug` text into
+//! any [`Hasher`], for the model checker's state fingerprints.
+
+use std::fmt;
+use std::hash::Hasher;
 
 /// 64-bit FNV-1a offset basis.
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
@@ -52,6 +58,40 @@ pub fn hash_with_index(s: &str, index: u64) -> u64 {
     splitmix64(fnv1a(s.as_bytes()) ^ splitmix64(index))
 }
 
+/// Feeds `v`'s `Debug` text into `h` exactly as
+/// `format!("{v:?}").hash(h)` would, without building the string: the
+/// text streams into [`Hasher::write`] piece by piece, then gets the
+/// `0xff` terminator that `str`'s `Hash` impl appends.
+///
+/// The result is bit-identical for any hasher whose `write` is
+/// streaming (split writes hash like one concatenated write), which
+/// includes std's `DefaultHasher`.
+///
+/// # Example
+///
+/// ```
+/// use std::collections::hash_map::DefaultHasher;
+/// use std::hash::{Hash, Hasher};
+/// use ic_common::hash::hash_debug;
+///
+/// let v = (Some(3u8), "k0", [1.5f64]);
+/// let (mut a, mut b) = (DefaultHasher::new(), DefaultHasher::new());
+/// hash_debug(&v, &mut a);
+/// format!("{v:?}").hash(&mut b);
+/// assert_eq!(a.finish(), b.finish());
+/// ```
+pub fn hash_debug<T: fmt::Debug + ?Sized, H: Hasher>(v: &T, h: &mut H) {
+    struct Feed<'a, H>(&'a mut H);
+    impl<H: Hasher> fmt::Write for Feed<'_, H> {
+        fn write_str(&mut self, s: &str) -> fmt::Result {
+            self.0.write(s.as_bytes());
+            Ok(())
+        }
+    }
+    fmt::write(&mut Feed(h), format_args!("{v:?}")).expect("Debug formatting into a hasher");
+    h.write_u8(0xff);
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -85,6 +125,47 @@ mod tests {
         for &b in &buckets {
             assert!((700..1300).contains(&b), "skewed bucket: {b}");
         }
+    }
+
+    #[test]
+    fn hash_debug_equals_hashing_the_formatted_string() {
+        use std::collections::hash_map::DefaultHasher;
+        use std::collections::BTreeMap;
+        use std::hash::Hash;
+
+        #[derive(Debug)]
+        #[allow(dead_code)] // read only through Debug
+        struct Nested {
+            key: String,
+            parts: Vec<Option<(u32, f64)>>,
+            map: BTreeMap<u8, &'static str>,
+        }
+        fn both(v: &dyn fmt::Debug) -> (u64, u64) {
+            let (mut a, mut b) = (DefaultHasher::new(), DefaultHasher::new());
+            hash_debug(v, &mut a);
+            format!("{v:?}").hash(&mut b);
+            (a.finish(), b.finish())
+        }
+        let nested = Nested {
+            key: "object-κλειδί-0001".repeat(3),
+            parts: vec![Some((7, 0.25)), None, Some((u32::MAX, -1e300))],
+            map: [(1, "a"), (2, "longer than one sip block")].into(),
+        };
+        let values: [&dyn fmt::Debug; 6] = [&"", &0u8, &nested, &[0u64; 40], &(), &'\u{ff}'];
+        for v in values {
+            let (streamed, formatted) = both(v);
+            assert_eq!(streamed, formatted, "diverged on {v:?}");
+        }
+        // A hash prefix followed by the Debug text: streaming must also
+        // line up with whatever the hasher has buffered so far.
+        let (mut a, mut b) = (DefaultHasher::new(), DefaultHasher::new());
+        for h in [&mut a, &mut b] {
+            42u16.hash(h);
+            "abc".hash(h);
+        }
+        hash_debug(&nested, &mut a);
+        format!("{nested:?}").hash(&mut b);
+        assert_eq!(a.finish(), b.finish());
     }
 
     #[test]

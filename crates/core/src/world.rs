@@ -36,20 +36,26 @@ use crate::metrics::{FtKind, Metrics, OpKind, Outcome, RequestRecord};
 use crate::params::SimParams;
 use crate::scheduler::{Choice, Scheduler, TimeOrdered};
 
-#[derive(Debug)]
+#[derive(Clone, Debug)]
 struct PendingReq {
     size: u64,
     issued: Vec<SimTime>,
     hosts: BTreeSet<HostId>,
 }
 
-#[derive(Debug)]
+#[derive(Clone, Debug)]
 struct RelayState {
     source: InstanceId,
     dest: Option<InstanceId>,
 }
 
 /// One simulated InfiniCache deployment.
+///
+/// Cloning a world forks it: the copy and the original continue
+/// independently from the same state, event queue and RNG positions
+/// included, so both replay identically under identical choices. The
+/// model checker builds every explored state this way.
+#[derive(Clone)]
 pub struct SimWorld {
     /// Deployment shape and policy knobs.
     pub cfg: DeploymentConfig,
@@ -421,6 +427,7 @@ impl SimWorld {
     /// ([`Ev::WarmupTick`], [`Ev::Platform`], stale [`Ev::FlowTick`]s)
     /// are likewise excluded; the checker never schedules them.
     pub fn fingerprint(&self) -> u64 {
+        use ic_common::hash::hash_debug;
         use std::collections::hash_map::DefaultHasher;
         let mut h = DefaultHasher::new();
         for p in &self.proxies {
@@ -439,7 +446,7 @@ impl SimWorld {
         relays.sort_by_key(|(id, _)| **id);
         for (id, st) in relays {
             id.hash(&mut h);
-            format!("{st:?}").hash(&mut h);
+            hash_debug(st, &mut h);
         }
         let mut gets: Vec<_> = self.pending_gets.keys().collect();
         gets.sort();
@@ -449,19 +456,24 @@ impl SimWorld {
         puts.hash(&mut h);
         self.dead_clients.hash(&mut h);
         self.platform.reclaimable_instances().hash(&mut h);
-        // Pending events as a sorted content multiset: *which* protocol
-        // messages are still in flight matters; when they were scheduled
-        // does not (delivery order is the checker's choice anyway).
-        let mut pending: Vec<String> = self
+        // Pending events as a content multiset: *which* protocol messages
+        // are still in flight matters; when they were scheduled does not
+        // (delivery order is the checker's choice anyway). Each event's
+        // content is digested on its own and the digests sorted, so queue
+        // order cannot leak in.
+        let mut pending: Vec<u64> = self
             .queue
-            .pending()
-            .into_iter()
+            .iter()
             .filter(|(_, _, ev)| {
                 !matches!(ev, Ev::WarmupTick | Ev::Platform(_) | Ev::FlowTick { .. })
             })
-            .map(|(_, _, ev)| format!("{ev:?}"))
+            .map(|(_, _, ev)| {
+                let mut eh = DefaultHasher::new();
+                hash_debug(ev, &mut eh);
+                eh.finish()
+            })
             .collect();
-        pending.sort();
+        pending.sort_unstable();
         pending.hash(&mut h);
         self.net.fingerprint(&mut h);
         h.finish()

@@ -340,3 +340,92 @@ fn deterministic_under_seed() {
     };
     assert_eq!(run(7), run(7), "same seed, same trajectory");
 }
+
+/// Cloning a world mid-run forks it. The clone and the original, run on
+/// under the time-ordered scheduler, end with identical metrics, billing
+/// and fingerprint; a third clone driven elsewhere (more operations,
+/// forced reclaims, a dead client) leaves the original exactly where a
+/// never-cloned run ends.
+#[test]
+fn cloned_world_runs_identically_and_independently() {
+    let build = || {
+        let mut w = SimWorld::new(
+            DeploymentConfig::small(12, EcConfig::new(4, 2).unwrap()),
+            SimParams::paper().with_seed(11),
+            Box::new(HourlyPoisson::new(120.0, "churn")),
+            2,
+        );
+        for i in 0..6u64 {
+            let k = key(&format!("c{i}"));
+            let client = ClientId((i % 2) as u16);
+            let payload = Payload::synthetic(3 * 1024 * 1024);
+            w.submit(
+                SimTime::from_secs(1 + i),
+                client,
+                Op::Put {
+                    key: k.clone(),
+                    payload,
+                },
+            );
+            let size = 3 * 1024 * 1024;
+            w.submit(
+                SimTime::from_secs(40 + 30 * i),
+                client,
+                Op::Get { key: k, size },
+            );
+        }
+        w
+    };
+    let summary = |w: &SimWorld| {
+        (
+            format!("{:?}", w.metrics),
+            format!("{:?}", w.platform.billing),
+            w.fingerprint(),
+            w.events_processed(),
+            w.now(),
+        )
+    };
+    let (fork_at, end) = (SimTime::from_secs(30), SimTime::from_secs(400));
+
+    let mut original = build();
+    original.run_until(fork_at);
+    let mut copy = original.clone();
+    let mut detour = original.clone();
+    detour.submit(
+        SimTime::from_secs(31),
+        ClientId(0),
+        Op::Put {
+            key: key("detour"),
+            payload: Payload::synthetic(1024 * 1024),
+        },
+    );
+    assert!(detour.inject_reclaims(4) > 0);
+    assert!(detour.disconnect_client(ClientId(1)));
+    detour.run_until(end);
+    original.run_until(end);
+    copy.run_until(end);
+
+    let mut reference = build();
+    reference.run_until(fork_at);
+    reference.run_until(end);
+
+    assert_eq!(
+        summary(&copy),
+        summary(&original),
+        "clone diverged from original"
+    );
+    assert_eq!(
+        summary(&original),
+        summary(&reference),
+        "a clone's run leaked into the original"
+    );
+    assert_ne!(
+        summary(&detour),
+        summary(&original),
+        "the detour changed nothing"
+    );
+    assert!(
+        original.metrics.requests.len() >= 12,
+        "workload did not run"
+    );
+}

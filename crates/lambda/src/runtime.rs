@@ -203,7 +203,7 @@ impl Runtime {
         self.outstanding.hash(h);
         self.requests_in_cycle.hash(h);
         self.did_backup.hash(h);
-        format!("{:?}", self.role).hash(h);
+        ic_common::hash::hash_debug(&self.role, h);
     }
 
     // ------------------------------------------------------------------

@@ -56,12 +56,13 @@ impl ChunkStore {
     /// time, so two interleavings holding identical data would hash
     /// differently and the checker's state dedup would never fire.
     pub fn fingerprint(&self, h: &mut impl std::hash::Hasher) {
+        use ic_common::hash::hash_debug;
         use std::hash::Hash;
         let mut chunks: Vec<_> = self.chunks.iter().collect();
-        chunks.sort_by_key(|(id, _)| (*id).clone());
+        chunks.sort_unstable_by_key(|&(id, _)| id);
         for (id, chunk) in chunks {
             id.hash(h);
-            format!("{:?}", chunk.payload).hash(h);
+            hash_debug(&chunk.payload, h);
         }
         self.clock.keys_mru_to_lru().hash(h);
         self.used_bytes.hash(h);

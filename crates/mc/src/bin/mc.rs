@@ -95,10 +95,11 @@ fn cmd_explore(args: &[String]) -> ExitCode {
     let report = explore(&cfg);
     let secs = started.elapsed().as_secs_f64();
     println!(
-        "explored {} states, {} transitions in {secs:.2}s \
+        "explored {} states, {} transitions in {secs:.2}s, {:.0} states/s \
          ({} deduped, {} pruned, {} terminals, {} depth cutoffs{})",
         report.states,
         report.transitions,
+        report.states as f64 / secs.max(1e-9),
         report.deduped,
         report.pruned,
         report.terminals,

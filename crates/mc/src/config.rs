@@ -216,9 +216,10 @@ impl McConfig {
     /// distinct queue slot, but the stagger carries no semantics — the
     /// scheduler owns delivery order (subject to per-client program
     /// order, which the choice enumerator enforces by sequence number).
-    /// The whole construction is deterministic, which is what lets the
-    /// stateless explorer treat "config + choice path" as a complete
-    /// recipe for a state.
+    /// The whole construction is deterministic, so "config + choice
+    /// path" is a complete recipe for a state: the explorer builds this
+    /// root once and clones it, while counterexample replay and
+    /// minimization rebuild from here.
     pub fn build_world(&self) -> SimWorld {
         let deployment = DeploymentConfig {
             proxies: self.proxies,

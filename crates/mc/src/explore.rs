@@ -1,11 +1,15 @@
 //! The bounded search over protocol interleavings.
 //!
-//! The checker is *stateless* in the model-checking sense: protocol
-//! state machines are not snapshotable, so each visited node rebuilds
-//! its world from the config and replays the choice path that reaches
-//! it. Choices are deterministic — event sequence numbers depend only
-//! on the choices applied so far — so a path is a perfect recipe for a
-//! state, which is also what makes counterexample traces replayable.
+//! The checker is *stateful*: a `SimWorld` clones, so each child state
+//! is its parent's world, copied, with one more choice applied. The
+//! frontier holds a child as its parent (shared through an `Rc`) plus
+//! that choice, so only parents with unexpanded children stay alive, and
+//! the last child to leave the frontier takes its parent's world without
+//! a copy. Every state still carries the choice path that reaches it:
+//! choices are deterministic — event sequence numbers depend only on the
+//! choices applied so far — so a path replayed into a fresh world
+//! rebuilds the same state, which is what makes counterexample traces
+//! replayable ([`replay_violates`], and the clone ≡ replay tests).
 //!
 //! At every state the checker runs the structural invariant auditor
 //! (`SimWorld::check_invariants`); at terminal states — no deliverable
@@ -17,6 +21,7 @@
 
 use std::collections::hash_map::Entry;
 use std::collections::{BTreeSet, HashMap, VecDeque};
+use std::rc::Rc;
 
 use ic_common::{ClientId, SimTime};
 use infinicache::chaos::audit_termination;
@@ -80,26 +85,39 @@ fn independent(a: Target, b: Target) -> bool {
     a != Target::Global && b != Target::Global && a != b
 }
 
-fn choice_target(world: &SimWorld, c: Choice) -> Target {
-    let Choice::Deliver { seq } = c else {
-        // Reclaims touch platform + proxy + runtime; disconnects touch
-        // client + every proxy + world tables.
-        return Target::Global;
-    };
-    let ev = world
-        .pending_events()
-        .into_iter()
-        .find_map(|(s, _, ev)| (s == seq).then_some(ev));
+fn event_target(ev: &Ev) -> Target {
     match ev {
-        Some(Ev::Submit { client, .. })
-        | Some(Ev::ClientRx { client, .. })
-        | Some(Ev::ResetDone { client, .. }) => Target::Client(client.0),
-        Some(Ev::ProxyRx { proxy, .. }) => Target::Proxy(proxy.0),
-        Some(Ev::InstanceRx { instance, .. })
-        | Some(Ev::InvokeReady { instance, .. })
-        | Some(Ev::LambdaTimer { instance, .. }) => Target::Instance(instance.0),
+        Ev::Submit { client, .. } | Ev::ClientRx { client, .. } | Ev::ResetDone { client, .. } => {
+            Target::Client(client.0)
+        }
+        Ev::ProxyRx { proxy, .. } => Target::Proxy(proxy.0),
+        Ev::InstanceRx { instance, .. }
+        | Ev::InvokeReady { instance, .. }
+        | Ev::LambdaTimer { instance, .. } => Target::Instance(instance.0),
         _ => Target::Global,
     }
+}
+
+/// Each of `choices` with its target, from one pass over the pending
+/// events. Reclaims touch platform + proxy + runtime and disconnects
+/// touch client + every proxy + world tables, so both are
+/// [`Target::Global`].
+fn choice_targets(world: &SimWorld, choices: &[Choice]) -> Vec<(Choice, Target)> {
+    let by_seq: HashMap<u64, Target> = world
+        .pending_events()
+        .into_iter()
+        .map(|(seq, _, ev)| (seq, event_target(ev)))
+        .collect();
+    choices
+        .iter()
+        .map(|&c| {
+            let target = match c {
+                Choice::Deliver { seq } => by_seq.get(&seq).copied(),
+                _ => None,
+            };
+            (c, target.unwrap_or(Target::Global))
+        })
+        .collect()
 }
 
 /// The scheduling choices enabled in `world`, in deterministic order:
@@ -154,19 +172,6 @@ pub fn enabled_choices(
     out
 }
 
-/// Rebuilds the world `path` describes: fresh world, replay every
-/// choice. Panics if a choice fails to apply — paths produced by the
-/// explorer always replay exactly (determinism is what makes the whole
-/// stateless scheme work).
-fn rebuild(cfg: &McConfig, path: &[Choice]) -> SimWorld {
-    let mut world = cfg.build_world();
-    for &c in path {
-        let applied = world.apply(c);
-        assert!(applied, "explorer path must replay: `{c}` not applicable");
-    }
-    world
-}
-
 /// Replays `choices` against a fresh world with skip-if-inapplicable
 /// semantics (edited or minimized traces may contain gaps), then — if
 /// the world violated nothing yet — drains every remaining deliverable
@@ -209,8 +214,50 @@ pub fn replay_violates(cfg: &McConfig, choices: &[Choice]) -> Option<(ViolationK
     None
 }
 
-struct Node {
+/// A reached state: its world, the choice path that reaches it from the
+/// root, and the faults injected along that path (the budgets
+/// [`enabled_choices`] checks).
+#[derive(Clone)]
+struct State {
+    world: SimWorld,
     path: Vec<Choice>,
+    reclaims: usize,
+    disconnects: usize,
+}
+
+impl State {
+    fn root(cfg: &McConfig) -> Self {
+        State {
+            world: cfg.build_world(),
+            path: Vec::new(),
+            reclaims: 0,
+            disconnects: 0,
+        }
+    }
+
+    /// The child state `c` leads to. Panics if `c` does not apply: the
+    /// explorer only applies choices [`enabled_choices`] offered for
+    /// this very state.
+    fn child(mut self, c: Choice) -> Self {
+        let applied = self.world.apply(c);
+        assert!(applied, "enabled choice `{c}` must apply");
+        self.path.push(c);
+        match c {
+            Choice::Reclaim { .. } => self.reclaims += 1,
+            Choice::Disconnect { .. } => self.disconnects += 1,
+            Choice::Deliver { .. } => {}
+        }
+        self
+    }
+}
+
+/// A frontier entry: the state reached by applying `choice` to `parent`
+/// (the root's entry has no choice). The world is built only when the
+/// entry is popped, so the frontier holds one world per parent with
+/// unexpanded children, not one per child.
+struct Node {
+    parent: Rc<State>,
+    choice: Option<Choice>,
     /// Sleep set: choices enabled here whose exploration a sibling
     /// already covers (empty unless pruning is on).
     sleep: Vec<Choice>,
@@ -228,7 +275,8 @@ pub fn explore(cfg: &McConfig) -> Report {
     let mut visited: HashMap<u64, usize> = HashMap::new();
     let mut frontier: VecDeque<Node> = VecDeque::new();
     frontier.push_back(Node {
-        path: Vec::new(),
+        parent: Rc::new(State::root(cfg)),
+        choice: None,
         sleep: Vec::new(),
     });
 
@@ -240,8 +288,19 @@ pub fn explore(cfg: &McConfig) -> Report {
             report.capped = true;
             break;
         }
-        let world = rebuild(cfg, &node.path);
-        let depth = node.path.len();
+        // The last pending child of a parent takes its world over; any
+        // other child works on a copy.
+        let Node {
+            parent,
+            choice,
+            sleep,
+        } = node;
+        let mut state = Rc::unwrap_or_clone(parent);
+        if let Some(c) = choice {
+            state = state.child(c);
+        }
+        let world = &state.world;
+        let depth = state.path.len();
         // A state reached again at *strictly shallower* depth is
         // re-expanded (more remaining depth budget may uncover subtrees
         // the first, deeper visit cut) but not re-counted: `states` and
@@ -267,28 +326,26 @@ pub fn explore(cfg: &McConfig) -> Report {
 
         let inv = world.check_invariants();
         if !inv.is_empty() {
-            record_violation(cfg, &mut report, ViolationKind::Invariant, inv, &node.path);
+            record_violation(cfg, &mut report, ViolationKind::Invariant, inv, &state.path);
             if cfg.stop_at_first {
                 break;
             }
             continue; // don't expand past a corrupted state
         }
 
-        let reclaims = count(&node.path, |c| matches!(c, Choice::Reclaim { .. }));
-        let disconnects = count(&node.path, |c| matches!(c, Choice::Disconnect { .. }));
-        let enabled = enabled_choices(&world, cfg, reclaims, disconnects);
+        let enabled = enabled_choices(world, cfg, state.reclaims, state.disconnects);
         if enabled.is_empty() {
             if first_visit {
                 report.terminals += 1;
             }
-            let term = audit_termination(&world);
+            let term = audit_termination(world);
             if !term.is_empty() {
                 record_violation(
                     cfg,
                     &mut report,
                     ViolationKind::Termination,
                     term,
-                    &node.path,
+                    &state.path,
                 );
                 if cfg.stop_at_first {
                     break;
@@ -301,12 +358,7 @@ pub fn explore(cfg: &McConfig) -> Report {
             continue;
         }
 
-        let sleep: Vec<Choice> = node
-            .sleep
-            .iter()
-            .copied()
-            .filter(|s| enabled.contains(s))
-            .collect();
+        let sleep: Vec<Choice> = sleep.into_iter().filter(|s| enabled.contains(s)).collect();
         let explore_list: Vec<Choice> = enabled
             .iter()
             .copied()
@@ -314,11 +366,8 @@ pub fn explore(cfg: &McConfig) -> Report {
             .collect();
         report.pruned += (enabled.len() - explore_list.len()) as u64;
 
-        let targets: Vec<(Choice, Target)> = if cfg.prune_commuting {
-            enabled
-                .iter()
-                .map(|&c| (c, choice_target(&world, c)))
-                .collect()
+        let targets = if cfg.prune_commuting {
+            choice_targets(world, &enabled)
         } else {
             Vec::new()
         };
@@ -335,6 +384,7 @@ pub fn explore(cfg: &McConfig) -> Report {
             SearchMode::Dfs => (0..explore_list.len()).rev().collect(),
             SearchMode::Bfs => (0..explore_list.len()).collect(),
         };
+        let parent = Rc::new(state);
         for i in indices {
             let c = explore_list[i];
             let mut child_sleep = Vec::new();
@@ -346,20 +396,15 @@ pub fn explore(cfg: &McConfig) -> Report {
                     }
                 }
             }
-            let mut path = node.path.clone();
-            path.push(c);
             report.transitions += 1;
             frontier.push_back(Node {
-                path,
+                parent: Rc::clone(&parent),
+                choice: Some(c),
                 sleep: child_sleep,
             });
         }
     }
     report
-}
-
-fn count(path: &[Choice], pred: impl Fn(&Choice) -> bool) -> usize {
-    path.iter().filter(|c| pred(c)).count()
 }
 
 fn record_violation(

@@ -12,15 +12,16 @@
 //! * `chaos::audit_termination` (every request concludes) at every
 //!   **terminal** state.
 //!
-//! The exploration is *stateless*: the protocol state machines are not
-//! snapshotable, so each node is reconstructed by replaying its choice
-//! path into a fresh world — which works because choices are
-//! deterministic (`infinicache::scheduler::Choice`), and which is also
-//! what makes a counterexample a plain replayable list of choices.
+//! The exploration is *stateful*: `SimWorld` clones, so each child
+//! state is its parent's world, copied, with one choice applied. Each
+//! state also keeps the choice path that reaches it. Choices are
+//! deterministic (`infinicache::scheduler::Choice`), so that path
+//! replayed into a fresh world rebuilds the same state, which is what
+//! makes a counterexample a plain replayable list of choices.
 //! State-fingerprint dedup (`SimWorld::fingerprint`) keeps the search
 //! from re-expanding states reached via commuting orders; optional
 //! sleep-set pruning ([`McConfig::prune_commuting`]) skips such orders
-//! before paying for the replay.
+//! before paying for the copy.
 //!
 //! On a violation the trace is shrunk (shortest violating prefix, then
 //! per-choice elision, each candidate re-verified by replay) and saved

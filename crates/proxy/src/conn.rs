@@ -96,13 +96,14 @@ impl LambdaConn {
     /// pair, the answering instance, queued and lazily-deleted work, and
     /// the pool-accounting byte count.
     pub fn fingerprint(&self, h: &mut impl std::hash::Hasher) {
+        use ic_common::hash::hash_debug;
         use std::hash::Hash;
         self.lambda.hash(h);
-        format!("{:?}/{:?}", self.liveness, self.validity).hash(h);
+        hash_debug(&format_args!("{:?}/{:?}", self.liveness, self.validity), h);
         self.active_instance.hash(h);
         self.queue.len().hash(h);
         for msg in &self.queue {
-            format!("{msg:?}").hash(h);
+            hash_debug(msg, h);
         }
         self.pending_deletes.hash(h);
         self.reported_bytes.hash(h);

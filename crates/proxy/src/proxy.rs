@@ -170,7 +170,7 @@ fn fanout_to_waiters<T: Clone>(
 }
 
 /// The proxy.
-#[derive(Debug)]
+#[derive(Clone, Debug)]
 pub struct Proxy {
     cfg: ProxyConfig,
     members: HashMap<LambdaId, LambdaConn>,
@@ -945,6 +945,7 @@ impl Proxy {
     /// counters are excluded (two runs in the same protocol state may
     /// have counted different retries along the way).
     pub fn fingerprint(&self, h: &mut impl std::hash::Hasher) {
+        use ic_common::hash::hash_debug;
         use std::hash::Hash;
         self.cfg.id.hash(h);
         // member_order is a stable pool enumeration, so it doubles as the
@@ -956,24 +957,24 @@ impl Proxy {
         mapping.sort();
         mapping.hash(h);
         let mut objects: Vec<_> = self.objects.iter().collect();
-        objects.sort_by_key(|(k, _)| (*k).clone());
+        objects.sort_unstable_by_key(|&(k, _)| k);
         for (key, meta) in objects {
             key.hash(h);
-            format!("{meta:?}").hash(h);
+            hash_debug(meta, h);
         }
         self.lru.keys_mru_to_lru().hash(h);
         self.used_bytes.hash(h);
         let mut gets: Vec<_> = self.inflight_gets.iter().collect();
-        gets.sort_by_key(|(c, _)| (*c).clone());
+        gets.sort_unstable_by_key(|&(c, _)| c);
         for (chunk, waiters) in gets {
             chunk.hash(h);
             waiters.hash(h);
         }
         let mut puts: Vec<_> = self.puts.iter().collect();
-        puts.sort_by_key(|(k, _)| (*k).clone());
+        puts.sort_unstable_by_key(|&(k, _)| k);
         for (key, progress) in puts {
             key.hash(h);
-            format!("{progress:?}").hash(h);
+            hash_debug(progress, h);
         }
         let mut aborted: Vec<_> = self.aborted_puts.iter().collect();
         aborted.sort();

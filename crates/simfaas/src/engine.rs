@@ -24,7 +24,7 @@ use ic_common::SimTime;
 /// let (t, ev) = q.pop().unwrap();
 /// assert_eq!((t, ev), (SimTime::from_millis(1), "sooner"));
 /// ```
-#[derive(Debug)]
+#[derive(Clone, Debug)]
 pub struct EventQueue<E> {
     heap: BinaryHeap<Reverse<Entry<E>>>,
     seq: u64,
@@ -32,7 +32,7 @@ pub struct EventQueue<E> {
     popped: u64,
 }
 
-#[derive(Debug)]
+#[derive(Clone, Debug)]
 struct Entry<E> {
     at: SimTime,
     seq: u64,
@@ -145,13 +145,16 @@ impl<E> EventQueue<E> {
     ///
     /// [`pop`]: EventQueue::pop
     pub fn pending(&self) -> Vec<(u64, SimTime, &E)> {
-        let mut entries: Vec<(u64, SimTime, &E)> = self
-            .heap
-            .iter()
-            .map(|Reverse(e)| (e.seq, e.at, &e.event))
-            .collect();
+        let mut entries: Vec<(u64, SimTime, &E)> = self.iter().collect();
         entries.sort_by_key(|&(seq, at, _)| (at, seq));
         entries
+    }
+
+    /// Every pending event as `(seq, scheduled_at, event)`, in no
+    /// particular order: [`pending`](EventQueue::pending) without the
+    /// allocation and the sort, for order-insensitive scans.
+    pub fn iter(&self) -> impl Iterator<Item = (u64, SimTime, &E)> {
+        self.heap.iter().map(|Reverse(e)| (e.seq, e.at, &e.event))
     }
 
     /// `true` when an event with sequence number `seq` is still pending.

@@ -96,7 +96,7 @@ pub struct RoutedInvocation {
 }
 
 /// The instance fleet for a set of logical nodes.
-#[derive(Debug)]
+#[derive(Clone, Debug)]
 pub struct Fleet {
     cfg: FunctionConfig,
     slots: Vec<Vec<InstanceId>>, // live instances per LambdaId

@@ -35,7 +35,7 @@ impl HostConfig {
     }
 }
 
-#[derive(Debug)]
+#[derive(Clone, Debug)]
 struct Host {
     free_mb: u32,
     residents: u32,
@@ -43,7 +43,7 @@ struct Host {
 }
 
 /// The host fleet: placement, release, and occupancy accounting.
-#[derive(Debug)]
+#[derive(Clone, Debug)]
 pub struct HostPool {
     cfg: HostConfig,
     hosts: Vec<Host>,

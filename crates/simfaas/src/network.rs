@@ -49,7 +49,7 @@ pub struct LinkId(usize);
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub struct FlowId(u64);
 
-#[derive(Debug)]
+#[derive(Clone, Debug)]
 struct Flow<T> {
     id: u64,
     path: Vec<LinkId>,
@@ -72,7 +72,7 @@ impl<T> Flow<T> {
 
 /// Reusable working state of [`Network::recompute`]. Between solves every
 /// `link_users` entry is 0 and both lists are empty.
-#[derive(Debug, Default)]
+#[derive(Clone, Debug, Default)]
 struct Scratch {
     /// Capacity not yet handed to frozen flows, per link; valid only for
     /// links in `active_links`.
@@ -90,7 +90,7 @@ struct Scratch {
 ///
 /// Generic over a per-flow payload `T` handed back on completion (the
 /// owning event loop stores whatever routing context it needs there).
-#[derive(Debug)]
+#[derive(Clone, Debug)]
 pub struct Network<T> {
     /// Capacity in bytes/sec, indexed by [`LinkId`].
     capacity: Vec<f64>,
@@ -167,7 +167,7 @@ impl<T> Network<T> {
             for link in &flow.path {
                 link.0.hash(h);
             }
-            format!("{:?}", flow.payload).hash(h);
+            ic_common::hash::hash_debug(&flow.payload, h);
         }
     }
 

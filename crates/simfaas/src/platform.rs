@@ -97,6 +97,7 @@ pub enum PlatformNotice {
 }
 
 /// The simulated FaaS platform.
+#[derive(Clone)]
 pub struct Platform {
     cfg: PlatformConfig,
     /// VM hosts (public for placement-sensitive experiments like Fig 4).

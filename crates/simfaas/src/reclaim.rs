@@ -19,6 +19,17 @@ pub trait ReclaimPolicy: Send {
 
     /// Label for reports (matches the paper's legend strings).
     fn name(&self) -> &str;
+
+    /// A boxed copy of this policy in its current state, so a
+    /// [`Platform`](crate::platform::Platform) (and the world around it)
+    /// can be cloned mid-run.
+    fn clone_box(&self) -> Box<dyn ReclaimPolicy>;
+}
+
+impl Clone for Box<dyn ReclaimPolicy> {
+    fn clone(&self) -> Self {
+        self.clone_box()
+    }
 }
 
 /// Never reclaims (instances still die to the idle timeout).
@@ -31,6 +42,9 @@ impl ReclaimPolicy for NoReclaim {
     }
     fn name(&self) -> &str {
         "none"
+    }
+    fn clone_box(&self) -> Box<dyn ReclaimPolicy> {
+        Box::new(self.clone())
     }
 }
 
@@ -59,6 +73,9 @@ impl ReclaimPolicy for HourlyPoisson {
     }
     fn name(&self) -> &str {
         &self.label
+    }
+    fn clone_box(&self) -> Box<dyn ReclaimPolicy> {
+        Box::new(self.clone())
     }
 }
 
@@ -128,11 +145,14 @@ impl ReclaimPolicy for PeriodicSpike {
     fn name(&self) -> &str {
         &self.label
     }
+    fn clone_box(&self) -> Box<dyn ReclaimPolicy> {
+        Box::new(self.clone())
+    }
 }
 
 /// Bursty churn with Zipf-distributed burst sizes — the Sep/Nov regime in
 /// Fig 9 (most minutes reclaim nothing; occasional tens).
-#[derive(Debug)]
+#[derive(Clone, Debug)]
 pub struct ZipfBurst {
     /// Per-minute probability that a burst happens at all.
     pub p_burst: f64,
@@ -161,6 +181,9 @@ impl ReclaimPolicy for ZipfBurst {
     }
     fn name(&self) -> &str {
         &self.label
+    }
+    fn clone_box(&self) -> Box<dyn ReclaimPolicy> {
+        Box::new(self.clone())
     }
 }
 
